@@ -1173,7 +1173,8 @@ impl ShardedIndex {
     /// global-id order — the same format a single engine writes, so
     /// [`Snapshot::restore`] yields a single
     /// [`Engine`](plsh_core::engine::Engine) answering identically to
-    /// this index over the captured rows.
+    /// this index over the captured rows, and carrying the cluster's
+    /// window and the shards' merge policy.
     ///
     /// Everything lands in the snapshot's static prefix (`static_len` =
     /// total): the per-shard static/delta splits and generation
@@ -1201,7 +1202,7 @@ impl ShardedIndex {
             let router = self.router.lock().unwrap_or_else(|e| e.into_inner());
             (router.next_global as usize, router.retire_cursor as usize)
         };
-        let caps: Vec<Snapshot> = self
+        let mut caps: Vec<Snapshot> = self
             .shards
             .iter()
             .map(|s| Snapshot::capture(s.engine.engine()))
@@ -1214,19 +1215,15 @@ impl ShardedIndex {
         let mut rows: Vec<Option<SparseVector>> = vec![None; total - cut];
         let mut deleted = Vec::new();
         let mut purged = Vec::new();
-        for (cap, map) in caps.iter().zip(&globals) {
+        for (cap, map) in caps.iter_mut().zip(&globals) {
             // `cap.vectors` holds resident rows only; `cap.base` is the
             // shard-local id of the first one (nonzero once a windowed
             // shard has compacted).
-            for (local, v) in cap
-                .vectors
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (cap.base as usize + i, v))
-            {
-                if let Some(&g) = map.get(local) {
+            let base = cap.base as usize;
+            for (i, v) in std::mem::take(&mut cap.vectors).into_iter().enumerate() {
+                if let Some(&g) = map.get(base + i) {
                     if (g as usize) >= cut && (g as usize) < total {
-                        rows[g as usize - cut] = Some(v.clone());
+                        rows[g as usize - cut] = Some(v);
                     }
                 }
             }
@@ -1252,6 +1249,9 @@ impl ShardedIndex {
             params: caps[0].params.clone(),
             capacity: (self.per_shard_capacity * self.shards.len()) as u64,
             eta: caps[0].eta,
+            seal_min_points: caps[0].seal_min_points,
+            // Shard engines are windowless; the window lives on the router.
+            window: self.window,
             static_len: (keep - cut) as u64,
             // Everything below the cut is compacted away; the restored
             // engine's id space starts there with no pending retirement.
@@ -1504,25 +1504,10 @@ const CLUSTER_MAGIC: &[u8; 4] = b"PLSC";
 /// Cluster manifest format version. Version 2 added the sliding-window
 /// spec; version-1 directories decode with no window.
 const CLUSTER_VERSION: u32 = 2;
-/// Window tag bytes in the cluster manifest.
-const CW_NONE: u8 = 0;
-const CW_DOCS: u8 = 1;
-const CW_DURATION: u8 = 2;
 
 /// `dir/shard-<i>`: the per-shard engine directory.
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}"))
-}
-
-/// FNV-1a over the manifest bytes (same integrity check the per-engine
-/// manifest uses).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 fn encode_cluster_manifest(
@@ -1537,14 +1522,11 @@ fn encode_cluster_manifest(
     out.extend_from_slice(&shards.to_le_bytes());
     out.extend_from_slice(&dim.to_le_bytes());
     out.extend_from_slice(&per_shard_capacity.to_le_bytes());
-    let (tag, value) = match window {
-        None => (CW_NONE, 0u64),
-        Some(WindowSpec::Docs(n)) => (CW_DOCS, n as u64),
-        Some(WindowSpec::Duration(d)) => (CW_DURATION, d.as_nanos().min(u64::MAX as u128) as u64),
-    };
+    // Window tag and checksum share the per-engine manifest's codec.
+    let (tag, value) = persist::encode_window(window);
     out.push(tag);
     out.extend_from_slice(&value.to_le_bytes());
-    let crc = fnv1a(&out);
+    let crc = persist::checksum(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -1561,7 +1543,7 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
         return Err(bad("wrong length"));
     }
     let (body, crc) = bytes.split_at(bytes.len() - 4);
-    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != fnv1a(body) {
+    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != persist::checksum(body) {
         return Err(bad("checksum mismatch"));
     }
     if &body[..4] != CLUSTER_MAGIC {
@@ -1585,14 +1567,7 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
     let per_shard_capacity = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
     let window = if version >= 2 {
         let value = u64::from_le_bytes(body[25..33].try_into().expect("8 bytes"));
-        match body[24] {
-            CW_NONE => None,
-            CW_DOCS => Some(WindowSpec::Docs(
-                u32::try_from(value).map_err(|_| bad("window size overflows u32"))?,
-            )),
-            CW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(value))),
-            _ => return Err(bad("unknown window tag")),
-        }
+        persist::decode_window(body[24], value).map_err(|e| bad(&e.to_string()))?
     } else {
         None
     };
@@ -2143,6 +2118,34 @@ mod tests {
         ] {
             let bytes = encode_cluster_manifest(4, 128, 2_000, w);
             assert_eq!(decode_cluster_manifest(&bytes).unwrap(), (4, 128, 2_000, w));
+        }
+    }
+
+    #[test]
+    fn cluster_manifest_v2_bytes_stay_pinned() {
+        // v2 manifests of a 4-shard, dim-128, 2000-per-shard index as
+        // persisted directories hold them: the encoder must keep writing,
+        // and the decoder keep reading, exactly these bytes.
+        const DOCS_500: [u8; 37] = [
+            80, 76, 83, 67, 2, 0, 0, 0, 4, 0, 0, 0, 128, 0, 0, 0, 208, 7, 0, 0, 0, 0, 0, 0, 1, 244,
+            1, 0, 0, 0, 0, 0, 0, 184, 123, 125, 249,
+        ];
+        const DURATION_1500_MS: [u8; 37] = [
+            80, 76, 83, 67, 2, 0, 0, 0, 4, 0, 0, 0, 128, 0, 0, 0, 208, 7, 0, 0, 0, 0, 0, 0, 2, 0,
+            47, 104, 89, 0, 0, 0, 0, 200, 247, 8, 242,
+        ];
+        for (bytes, w) in [
+            (DOCS_500, WindowSpec::Docs(500)),
+            (
+                DURATION_1500_MS,
+                WindowSpec::Duration(Duration::from_millis(1500)),
+            ),
+        ] {
+            assert_eq!(
+                decode_cluster_manifest(&bytes).unwrap(),
+                (4, 128, 2_000, Some(w))
+            );
+            assert_eq!(encode_cluster_manifest(4, 128, 2_000, Some(w)), bytes);
         }
     }
 

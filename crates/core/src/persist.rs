@@ -1,8 +1,7 @@
 //! Incremental durability: WAL + segment-per-generation persistence.
 //!
-//! [`Snapshot`](crate::snapshot::Snapshot) gives whole-index save/restore,
-//! but a streaming node that ingests a firehose cannot afford to rewrite
-//! its entire corpus on every batch. This module makes the *in-memory*
+//! A streaming node that ingests a firehose cannot afford to rewrite its
+//! entire corpus on every batch. This module makes the *in-memory*
 //! lifecycle durable piece by piece, mirroring the on-disk format on the
 //! engine's own segmented structure:
 //!
@@ -29,19 +28,24 @@
 //!   still-present generation files; after: the new static segment, with
 //!   leftovers garbage-collected on attach).
 //!
+//! This module owns the byte layout of every durable piece — parameters,
+//! rows, tombstones, the window spec and the checksums. A
+//! [`Snapshot`](crate::snapshot::Snapshot) is the same baseline packed
+//! into one stream: this manifest, one static segment and one generation
+//! segment for the whole delta suffix, restored through
+//! [`rebuild_engine`] like a recovered directory.
+//!
 //! ## Recovery
 //!
 //! [`load_state`] reads the manifest, loads the static segment, then walks
 //! generation segments contiguously from `static_len`, falls through to
 //! the live WAL for the open tail, and finally replays the tombstone log.
-//! Rebuilding the [`Engine`] follows the same order as
-//! [`Snapshot::restore`](crate::snapshot::Snapshot::restore): insert the
-//! static prefix, tombstone + merge-purge the purged ids (so the purge
-//! accounting matches), replay each generation as its own sealed
-//! generation, then re-apply the tombstones. Generation boundaries are an
-//! ingest-batching artifact with no effect on answers (property-tested),
-//! so a recovered engine answers bit-identically to a from-scratch build
-//! over the same rows.
+//! [`rebuild_engine`] then inserts the static prefix, tombstones +
+//! merge-purges the purged ids (so the purge accounting matches), replays
+//! each generation as its own sealed generation, and re-applies the
+//! tombstones. Generation boundaries are an ingest-batching artifact with
+//! no effect on answers (property-tested), so a recovered engine answers
+//! bit-identically to a from-scratch build over the same rows.
 //!
 //! ## Failure model
 //!
@@ -82,8 +86,8 @@ use crate::table::DeltaGeneration;
 
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_MAGIC: &[u8; 4] = b"PLSM";
-const STATIC_MAGIC: &[u8; 4] = b"PLSS";
-const GEN_MAGIC: &[u8; 4] = b"PLSG";
+pub(crate) const STATIC_MAGIC: &[u8; 4] = b"PLSS";
+pub(crate) const GEN_MAGIC: &[u8; 4] = b"PLSG";
 const VERSION: u32 = 1;
 /// Manifest format version. v2 added the sliding-window fields
 /// (`static_base`, `retired_below`, window spec); v1 manifests are read
@@ -267,10 +271,10 @@ fn fio_write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Binary helpers (little-endian, same idiom as the snapshot format).
+// Binary helpers (little-endian).
 // ---------------------------------------------------------------------
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -315,7 +319,9 @@ fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
 }
 
 /// FNV-1a, the record checksum (cheap, endian-free, catches torn tails).
-fn checksum(bytes: &[u8]) -> u32 {
+/// Shared with the cluster manifest.
+#[doc(hidden)]
+pub fn checksum(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
     for &b in bytes {
         h ^= b as u32;
@@ -324,7 +330,10 @@ fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = SparseVector> + 'a) {
+pub(crate) fn put_rows<'a>(
+    out: &mut Vec<u8>,
+    rows: impl ExactSizeIterator<Item = SparseVector> + 'a,
+) {
     put_u64(out, rows.len() as u64);
     for v in rows {
         put_u32(out, v.nnz() as u32);
@@ -358,8 +367,36 @@ fn get_rows<R: Read>(r: &mut R) -> io::Result<Vec<SparseVector>> {
     Ok(rows)
 }
 
-fn gen_rows(g: &DeltaGeneration) -> impl ExactSizeIterator<Item = SparseVector> + '_ {
+pub(crate) fn gen_rows(g: &DeltaGeneration) -> impl ExactSizeIterator<Item = SparseVector> + '_ {
     (0..g.len() as u32).map(|local| g.data().row_vector(local))
+}
+
+/// A window spec as its manifest `(tag, u64 payload)` pair. Shared with
+/// the cluster manifest. A duration beyond `u64` nanoseconds saturates.
+#[doc(hidden)]
+pub fn encode_window(window: Option<WindowSpec>) -> (u8, u64) {
+    match window {
+        None => (WINDOW_NONE, 0),
+        Some(WindowSpec::Docs(n)) => (WINDOW_DOCS, n as u64),
+        Some(WindowSpec::Duration(d)) => {
+            (WINDOW_DURATION, d.as_nanos().min(u64::MAX as u128) as u64)
+        }
+    }
+}
+
+/// Inverse of [`encode_window`]. Shared with the cluster manifest.
+#[doc(hidden)]
+pub fn decode_window(tag: u8, arg: u64) -> io::Result<Option<WindowSpec>> {
+    Ok(match tag {
+        WINDOW_NONE => None,
+        WINDOW_DOCS => {
+            Some(WindowSpec::Docs(u32::try_from(arg).map_err(|_| {
+                bad(format!("implausible window size {arg}"))
+            })?))
+        }
+        WINDOW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(arg))),
+        t => return Err(bad(format!("unknown window tag {t}"))),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -367,31 +404,31 @@ fn gen_rows(g: &DeltaGeneration) -> impl ExactSizeIterator<Item = SparseVector> 
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
-struct Manifest {
-    params: PlshParams,
-    capacity: u64,
-    eta: f64,
-    seal_min_points: u64,
+pub(crate) struct Manifest {
+    pub params: PlshParams,
+    pub capacity: u64,
+    pub eta: f64,
+    pub seal_min_points: u64,
     /// Data-directory generation, bumped by `clear` so leftovers of a
     /// previous lifetime can never be replayed as data.
-    reset: u64,
-    static_seq: Option<u64>,
-    static_len: u64,
+    pub reset: u64,
+    pub static_seq: Option<u64>,
+    pub static_len: u64,
     /// Global id of static row 0 — everything below it was retired by the
     /// sliding window and compacted away (0 without a window).
-    static_base: u64,
+    pub static_base: u64,
     /// Retirement watermark at the time of the snapshot: every id below
     /// it is dead. Invariant: `static_base <= retired_below`.
-    retired_below: u64,
+    pub retired_below: u64,
     /// The engine's sliding-window spec, so recovery rebuilds a windowed
     /// engine that keeps retiring on its own.
-    window: Option<WindowSpec>,
-    purged: Vec<u32>,
-    pending: Vec<u32>,
+    pub window: Option<WindowSpec>,
+    pub purged: Vec<u32>,
+    pub pending: Vec<u32>,
 }
 
 impl Manifest {
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MANIFEST_MAGIC);
         put_u32(&mut out, MANIFEST_VERSION);
@@ -409,11 +446,7 @@ impl Manifest {
         put_u64(&mut out, self.static_len);
         put_u64(&mut out, self.static_base);
         put_u64(&mut out, self.retired_below);
-        let (wtag, warg) = match self.window {
-            None => (WINDOW_NONE, 0u64),
-            Some(WindowSpec::Docs(n)) => (WINDOW_DOCS, n as u64),
-            Some(WindowSpec::Duration(d)) => (WINDOW_DURATION, d.as_nanos() as u64),
-        };
+        let (wtag, warg) = encode_window(self.window);
         out.push(wtag);
         put_u64(&mut out, warg);
         put_u64(&mut out, self.purged.len() as u64);
@@ -431,7 +464,7 @@ impl Manifest {
         out
     }
 
-    fn decode(bytes: &[u8]) -> io::Result<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> io::Result<Self> {
         if bytes.len() < 4 + 4 {
             return Err(bad("manifest truncated"));
         }
@@ -486,17 +519,7 @@ impl Manifest {
             }
             let mut wtag = [0u8; 1];
             r.read_exact(&mut wtag)?;
-            let warg = get_u64(&mut r)?;
-            let window = match wtag[0] {
-                WINDOW_NONE => None,
-                WINDOW_DOCS => {
-                    Some(WindowSpec::Docs(u32::try_from(warg).map_err(|_| {
-                        bad(format!("implausible window size {warg}"))
-                    })?))
-                }
-                WINDOW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(warg))),
-                t => return Err(bad(format!("unknown window tag {t}"))),
-            };
+            let window = decode_window(wtag[0], get_u64(&mut r)?)?;
             (base, retired, window)
         } else {
             (0, 0, None)
@@ -536,7 +559,7 @@ impl Manifest {
 // Segment + log encoding
 // ---------------------------------------------------------------------
 
-fn encode_segment(magic: &[u8; 4], base: u64, rows: &mut Vec<u8>) -> Vec<u8> {
+pub(crate) fn encode_segment(magic: &[u8; 4], base: u64, rows: &mut Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(rows.len() + 24);
     out.extend_from_slice(magic);
     put_u32(&mut out, VERSION);
@@ -547,7 +570,7 @@ fn encode_segment(magic: &[u8; 4], base: u64, rows: &mut Vec<u8>) -> Vec<u8> {
     out
 }
 
-fn decode_segment(
+pub(crate) fn decode_segment(
     magic: &[u8; 4],
     expect_base: u64,
     bytes: &[u8],
@@ -669,6 +692,26 @@ pub(crate) struct Baseline<'a> {
     pub pending: Vec<u32>,
 }
 
+impl Baseline<'_> {
+    /// The manifest that commits this baseline's files.
+    fn manifest(&self, reset: u64, static_seq: Option<u64>) -> Manifest {
+        Manifest {
+            params: self.params.clone(),
+            capacity: self.capacity,
+            eta: self.eta,
+            seal_min_points: self.seal_min_points,
+            reset,
+            static_seq,
+            static_len: self.static_len as u64,
+            static_base: self.static_base as u64,
+            retired_below: self.retired_below as u64,
+            window: self.window,
+            purged: self.purged.to_vec(),
+            pending: self.pending.clone(),
+        }
+    }
+}
+
 struct WalWriter {
     file: PFile,
     base: u32,
@@ -774,20 +817,7 @@ impl EnginePersister {
         fs::create_dir_all(&data)?;
 
         let (static_seq, wal) = write_baseline(&data, b)?;
-        let manifest = Manifest {
-            params: b.params.clone(),
-            capacity: b.capacity,
-            eta: b.eta,
-            seal_min_points: b.seal_min_points,
-            reset,
-            static_seq,
-            static_len: b.static_len as u64,
-            static_base: b.static_base as u64,
-            retired_below: b.retired_below as u64,
-            window: b.window,
-            purged: b.purged.to_vec(),
-            pending: b.pending.clone(),
-        };
+        let manifest = b.manifest(reset, static_seq);
         fio_write_atomic(&dir.join(MANIFEST), &manifest.encode())?;
 
         Ok(Self {
@@ -1148,20 +1178,7 @@ impl EnginePersister {
         let data = data_dir(&self.dir, reset);
         fs::create_dir_all(&data)?;
         let (static_seq, wal) = write_baseline(&data, b)?;
-        let manifest = Manifest {
-            params: b.params.clone(),
-            capacity: b.capacity,
-            eta: b.eta,
-            seal_min_points: b.seal_min_points,
-            reset,
-            static_seq,
-            static_len: b.static_len as u64,
-            static_base: b.static_base as u64,
-            retired_below: b.retired_below as u64,
-            window: b.window,
-            purged: b.purged.to_vec(),
-            pending: b.pending.clone(),
-        };
+        let manifest = b.manifest(reset, static_seq);
         fault::io_check(fault::MANIFEST_SWAP)?;
         fio_write_atomic(&self.dir.join(MANIFEST), &manifest.encode())?;
         let old_data = std::mem::replace(&mut s.data, data);
@@ -1205,6 +1222,30 @@ pub struct RecoveredState {
 }
 
 impl RecoveredState {
+    /// The state a packed baseline describes: the manifest, its static
+    /// prefix, and the whole delta suffix as one sealed generation, with
+    /// no log behind it (how a [`Snapshot`](crate::snapshot::Snapshot)
+    /// restores).
+    pub(crate) fn packed(
+        manifest: Manifest,
+        static_rows: Vec<SparseVector>,
+        delta: Vec<SparseVector>,
+    ) -> Self {
+        let delta_base = (manifest.static_base + manifest.static_len) as u32;
+        Self {
+            manifest,
+            static_rows,
+            gens: if delta.is_empty() {
+                Vec::new()
+            } else {
+                vec![(delta_base, delta, false)]
+            },
+            tomb: Vec::new(),
+            tomb_retire: 0,
+            wal_rows: 0,
+        }
+    }
+
     /// LSH parameters stored in the manifest.
     pub fn params(&self) -> &PlshParams {
         &self.manifest.params
@@ -1411,9 +1452,9 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
 
 /// Rebuilds an [`Engine`] from a recovered state, optionally truncated to
 /// the first `keep` rows (sharded recovery truncates every shard to the
-/// longest globally-contiguous prefix). The rebuild follows the snapshot
-/// restore order so the purge accounting matches; generation boundaries
-/// within the kept rows are reproduced exactly.
+/// longest globally-contiguous prefix). The static prefix is merged with
+/// the purged ids tombstoned first, so the purge accounting matches;
+/// generation boundaries within the kept rows are reproduced exactly.
 pub fn rebuild_engine(
     st: &RecoveredState,
     keep: Option<usize>,
@@ -1439,7 +1480,7 @@ pub fn rebuild_engine(
         engine.insert_batch_deferring_merge(&st.static_rows[..split], pool)?;
         engine.seal();
         for &id in &m.purged {
-            if ((id - base) as usize) < split {
+            if (id.saturating_sub(base) as usize) < split {
                 engine.delete(id);
             }
         }

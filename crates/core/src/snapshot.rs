@@ -1,11 +1,16 @@
 //! Engine snapshots: save/restore a node's contents to a byte stream.
 //!
 //! An adoption feature beyond the paper: operators of an in-memory system
-//! need warm restarts. A snapshot stores the *inputs* — parameters, corpus
-//! rows, static/delta split, deletion tombstones — in a compact
-//! little-endian binary layout; on load, sketches and tables are rebuilt
-//! deterministically from the stored seed, so the restored engine answers
-//! every query identically to the original (tested).
+//! need warm restarts. A snapshot is a **packed persist baseline**: the
+//! same checksummed manifest and segments [`crate::persist`] writes into a
+//! directory, framed into one stream. It stores the *inputs* —
+//! parameters, merge policy, sliding window, corpus rows, static/delta
+//! split, deletion tombstones — and on load the engine is rebuilt exactly
+//! as directory recovery rebuilds it ([`persist::rebuild_engine`]):
+//! sketches and tables come back deterministically from the stored seed,
+//! so the restored engine answers every query identically to the
+//! original (tested), and keeps the original's η, `seal_min_points` and
+//! window.
 //!
 //! ## How sealed generations serialize
 //!
@@ -29,25 +34,42 @@
 //! restored engine reproduces both the answers and the purge accounting of
 //! the original.
 //!
-//! Format (version 3): magic `PLSH` + version, the parameter block, the
-//! engine layout (capacity, eta, static length, the sliding-window base
-//! and retirement watermark), the CRS corpus as three length-prefixed
-//! arrays, the pending-tombstone id list, and the purged-id list. Rows
-//! are *resident* rows only: everything a sliding-window engine already
-//! compacted away stays gone, and `base` records the global id of the
-//! first stored row so ids survive the round trip.
+//! ## Format (version 4)
+//!
+//! Magic `PLSH` and a little-endian `u32` version, then three frames, each
+//! a `u64` byte length followed by one persist piece carrying its own
+//! magic, version and FNV-1a checksum:
+//!
+//! 1. the engine manifest (`PLSM` v2): parameters, capacity, η,
+//!    `seal_min_points`, static length, the sliding-window base and
+//!    retirement watermark, the window spec, and the purged and pending
+//!    tombstone lists;
+//! 2. a static segment (`PLSS` v1) holding the static prefix at `base`;
+//! 3. a generation segment (`PLSG` v1) holding the whole delta suffix at
+//!    `base + static_len`.
+//!
+//! Rows are *resident* rows only: everything a sliding-window engine
+//! already compacted away stays gone, and `base` records the global id of
+//! the first stored row so ids survive the round trip. A flipped bit
+//! anywhere in a frame fails its checksum. Streams of an older version
+//! are refused.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use plsh_parallel::ThreadPool;
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, WindowSpec};
 use crate::error::Result as PlshResult;
 use crate::params::PlshParams;
+use crate::persist::{
+    self, bad, decode_segment, encode_segment, gen_rows, put_rows, Manifest, RecoveredState,
+    GEN_MAGIC, STATIC_MAGIC,
+};
 use crate::sparse::SparseVector;
 
 const MAGIC: &[u8; 4] = b"PLSH";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Everything needed to reconstruct an [`Engine`].
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +80,10 @@ pub struct Snapshot {
     pub capacity: u64,
     /// Merge threshold `η`.
     pub eta: f64,
+    /// Minimum open-generation size before inserts auto-seal.
+    pub seal_min_points: u64,
+    /// The sliding-window spec (`None` without a window).
+    pub window: Option<WindowSpec>,
     /// Points in the static structure (the rest live in the delta).
     pub static_len: u64,
     /// Global id of `vectors[0]` — the sliding window's compaction cut at
@@ -78,196 +104,162 @@ pub struct Snapshot {
 impl Snapshot {
     /// Captures an engine's state — safe to call while other threads keep
     /// inserting and merging: the rows, split point, and tombstone lists
-    /// come out of one atomic capture.
+    /// come out of one atomic capture, which never waits for a merge.
     pub fn capture(engine: &Engine) -> Self {
-        let (base, static_len, vectors, deleted, purged, retired_below) = engine.capture_state();
-        Self {
-            params: engine.params().clone(),
-            capacity: engine.capacity() as u64,
-            eta: engine.config().eta,
-            static_len: static_len as u64,
-            base: base as u64,
-            retired_below: retired_below as u64,
-            vectors,
-            deleted,
-            purged,
-        }
+        engine.with_baseline(|b| {
+            let mut vectors: Vec<SparseVector> = (0..b.static_len as u32)
+                .map(|id| b.static_data.row_vector(id))
+                .collect();
+            for g in b.sealed.iter().map(Arc::as_ref).chain(b.open) {
+                vectors.extend(gen_rows(g));
+            }
+            Self {
+                params: b.params.clone(),
+                capacity: b.capacity,
+                eta: b.eta,
+                seal_min_points: b.seal_min_points,
+                window: b.window,
+                static_len: b.static_len as u64,
+                base: b.static_base as u64,
+                retired_below: b.retired_below as u64,
+                vectors,
+                deleted: b.pending,
+                purged: b.purged.to_vec(),
+            }
+        })
     }
 
-    /// Restores an engine that answers identically to the captured one.
+    /// Restores an engine that answers identically to the captured one,
+    /// configured from the image (η, `seal_min_points`, window) exactly
+    /// as [`Engine::recover_from`] configures a recovered one.
     ///
     /// The static/delta split is reproduced exactly: the static prefix is
     /// inserted, the purged ids are tombstoned and a merge purges them
     /// again, then the delta suffix is inserted unmerged (as one sealed
     /// generation) and the pending tombstones are re-applied.
     pub fn restore(&self, pool: &ThreadPool) -> PlshResult<Engine> {
-        let config = EngineConfig::new(self.params.clone(), self.capacity as usize)
-            .manual_merge()
-            .with_eta(self.eta);
-        let engine = Engine::new(config, pool)?;
-        if self.base > 0 {
-            engine.fast_forward_empty(self.base as u32);
+        let (static_rows, delta) = self.vectors.split_at(self.static_len as usize);
+        let state = RecoveredState::packed(self.manifest(), static_rows.to_vec(), delta.to_vec());
+        persist::rebuild_engine(&state, None, pool)
+    }
+
+    /// The snapshot's header as a persist manifest.
+    fn manifest(&self) -> Manifest {
+        Manifest {
+            params: self.params.clone(),
+            capacity: self.capacity,
+            eta: self.eta,
+            seal_min_points: self.seal_min_points,
+            reset: 0,
+            static_seq: (self.static_len > 0).then_some(0),
+            static_len: self.static_len,
+            static_base: self.base,
+            retired_below: self.retired_below,
+            window: self.window,
+            purged: self.purged.clone(),
+            pending: self.deleted.clone(),
         }
-        let split = self.static_len as usize;
-        if split > 0 {
-            engine.insert_batch(&self.vectors[..split], pool)?;
-            for &id in &self.purged {
-                engine.delete(id);
-            }
-            engine.merge_delta(pool);
-        }
-        if split < self.vectors.len() {
-            engine.insert_batch(&self.vectors[split..], pool)?;
-        }
-        for &id in &self.deleted {
-            engine.delete(id);
-        }
-        // Watermark last, with no merge behind it, so the restored
-        // engine's compaction state matches the captured one.
-        let _ = engine.retire_to(self.retired_below as u32);
-        Ok(engine)
     }
 
     /// Serializes the snapshot.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let (static_rows, delta) = self.vectors.split_at(self.static_len as usize);
+        let mut static_bytes = Vec::new();
+        put_rows(&mut static_bytes, static_rows.iter().cloned());
+        let mut delta_bytes = Vec::new();
+        put_rows(&mut delta_bytes, delta.iter().cloned());
         w.write_all(MAGIC)?;
-        put_u32(w, VERSION)?;
-        // Parameter block.
-        put_u32(w, self.params.dim())?;
-        put_u32(w, self.params.k())?;
-        put_u32(w, self.params.m())?;
-        put_f64(w, self.params.radius())?;
-        put_f64(w, self.params.delta())?;
-        put_u64(w, self.params.seed())?;
-        // Layout block.
-        put_u64(w, self.capacity)?;
-        put_f64(w, self.eta)?;
-        put_u64(w, self.static_len)?;
-        put_u64(w, self.base)?;
-        put_u64(w, self.retired_below)?;
-        // Corpus as CRS: row nnz counts, then flattened indices/values.
-        put_u64(w, self.vectors.len() as u64)?;
-        for v in &self.vectors {
-            put_u32(w, v.nnz() as u32)?;
-        }
-        for v in &self.vectors {
-            for &d in v.indices() {
-                put_u32(w, d)?;
-            }
-            for &x in v.values() {
-                put_f32(w, x)?;
-            }
-        }
-        // Tombstones: pending, then purged.
-        put_u64(w, self.deleted.len() as u64)?;
-        for &id in &self.deleted {
-            put_u32(w, id)?;
-        }
-        put_u64(w, self.purged.len() as u64)?;
-        for &id in &self.purged {
-            put_u32(w, id)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        for frame in [
+            self.manifest().encode(),
+            encode_segment(STATIC_MAGIC, self.base, &mut static_bytes),
+            encode_segment(GEN_MAGIC, self.base + self.static_len, &mut delta_bytes),
+        ] {
+            w.write_all(&(frame.len() as u64).to_le_bytes())?;
+            w.write_all(&frame)?;
         }
         Ok(())
     }
 
     /// Deserializes a snapshot, validating every invariant it can.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+        let mut head = [0u8; 8];
+        r.read_exact(&mut head)?;
+        if &head[..4] != MAGIC {
             return Err(bad("not a PLSH snapshot (bad magic)"));
         }
-        let version = get_u32(r)?;
+        let version = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err(bad(format!("unsupported snapshot version {version}")));
         }
-        let dim = get_u32(r)?;
-        let k = get_u32(r)?;
-        let m = get_u32(r)?;
-        let radius = get_f64(r)?;
-        let delta = get_f64(r)?;
-        let seed = get_u64(r)?;
-        let params = PlshParams::builder(dim)
-            .k(k)
-            .m(m)
-            .radius(radius)
-            .delta(delta)
-            .seed(seed)
-            .build()
-            .map_err(|e| bad(e.to_string()))?;
-
-        let capacity = get_u64(r)?;
-        let eta = get_f64(r)?;
-        let static_len = get_u64(r)?;
-        let base = get_u64(r)?;
-        let retired_below = get_u64(r)?;
-        if retired_below < base {
-            return Err(bad("retired_below below the compaction base"));
+        let m = Manifest::decode(&read_frame(r)?)?;
+        let base = m.static_base;
+        let mut vectors = decode_segment(STATIC_MAGIC, base, &read_frame(r)?)?;
+        if vectors.len() as u64 != m.static_len {
+            return Err(bad(format!(
+                "static segment holds {} rows, manifest says {}",
+                vectors.len(),
+                m.static_len
+            )));
         }
+        vectors.extend(decode_segment(
+            GEN_MAGIC,
+            base + m.static_len,
+            &read_frame(r)?,
+        )?);
 
-        let n = get_u64(r)? as usize;
-        if n as u64 > capacity {
+        // Range checks a directory manifest cannot make (a lost segment
+        // may legally leave it naming rows recovery no longer has): a
+        // snapshot carries every row its header names.
+        let n = vectors.len() as u64;
+        if n > m.capacity {
             return Err(bad("snapshot holds more points than its capacity"));
         }
-        if static_len > n as u64 {
-            return Err(bad("static_len exceeds the point count"));
-        }
-        if retired_below > base + n as u64 {
+        if m.retired_below > base + n {
             return Err(bad("retired_below beyond the stored id range"));
         }
-        let mut nnz = Vec::with_capacity(n);
-        for _ in 0..n {
-            nnz.push(get_u32(r)? as usize);
+        let dim = m.params.dim();
+        if let Some(row) = vectors
+            .iter()
+            .position(|v| v.max_index().unwrap_or(0) >= dim)
+        {
+            return Err(bad(format!("row {row} exceeds dimensionality {dim}")));
         }
-        let mut vectors = Vec::with_capacity(n);
-        for (row, &count) in nnz.iter().enumerate() {
-            let mut indices = Vec::with_capacity(count);
-            for _ in 0..count {
-                indices.push(get_u32(r)?);
-            }
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(get_f32(r)?);
-            }
-            let v = SparseVector::from_sorted(indices, values)
-                .map_err(|e| bad(format!("row {row}: {e}")))?;
-            if v.max_index().unwrap_or(0) >= dim {
-                return Err(bad(format!("row {row} exceeds dimensionality {dim}")));
-            }
-            vectors.push(v);
-        }
-        let d = get_u64(r)? as usize;
-        let mut deleted = Vec::with_capacity(d);
-        for _ in 0..d {
-            let id = get_u32(r)?;
-            if (id as u64) < base || id as u64 >= base + n as u64 {
-                return Err(bad(format!("tombstone {id} out of range")));
-            }
-            deleted.push(id);
-        }
-        let p = get_u64(r)? as usize;
-        let mut purged = Vec::with_capacity(p);
-        for _ in 0..p {
-            let id = get_u32(r)?;
-            // Purging only ever happens to ids merged into the static
-            // structure.
-            if (id as u64) < base || id as u64 >= base + static_len {
-                return Err(bad(format!("purged id {id} outside the static prefix")));
-            }
-            purged.push(id);
+        if let Some(id) = m
+            .pending
+            .iter()
+            .find(|&&id| (id as u64) < base || id as u64 >= base + n)
+        {
+            return Err(bad(format!("tombstone {id} out of range")));
         }
         Ok(Self {
-            params,
-            capacity,
-            eta,
-            static_len,
+            params: m.params,
+            capacity: m.capacity,
+            eta: m.eta,
+            seal_min_points: m.seal_min_points,
+            window: m.window,
+            static_len: m.static_len,
             base,
-            retired_below,
+            retired_below: m.retired_below,
             vectors,
-            deleted,
-            purged,
+            deleted: m.pending,
+            purged: m.purged,
         })
     }
+}
+
+/// One `u64`-length-prefixed frame. The length is not trusted for an
+/// allocation: a corrupt one ends in a short read, not a huge buffer.
+fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
+    let mut len = [0u8; 8];
+    r.read_exact(&mut len)?;
+    let len = u64::from_le_bytes(len);
+    let mut frame = Vec::new();
+    r.take(len).read_to_end(&mut frame)?;
+    if frame.len() as u64 != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(frame)
 }
 
 impl Engine {
@@ -284,53 +276,10 @@ impl Engine {
     }
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn put_u32<W: Write>(w: &mut W, x: u32) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_u64<W: Write>(w: &mut W, x: u64) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_f32<W: Write>(w: &mut W, x: f32) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_f64<W: Write>(w: &mut W, x: f64) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn get_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use crate::rng::SplitMix64;
 
     fn sample_engine(pool: &ThreadPool) -> Engine {
@@ -472,6 +421,46 @@ mod tests {
             let mut slice = &bytes[..cut];
             assert!(Snapshot::read_from(&mut slice).is_err(), "cut at {cut}");
         }
+
+        // A flipped byte inside a stored value, or inside a stored
+        // dimension index where the row stays sorted and in range, still
+        // parses as a valid row: only the checksum can catch it.
+        let snap = Snapshot::capture(&engine);
+        let (row, last) = snap
+            .vectors
+            .iter()
+            .find_map(|v| {
+                let last = v.nnz() - 1;
+                (last > 0 && v.indices()[last] ^ 1 > v.indices()[last - 1]).then_some((v, last))
+            })
+            .expect("some row survives an index flip");
+        let mut stored = (row.nnz() as u32).to_le_bytes().to_vec();
+        for &d in row.indices() {
+            stored.extend_from_slice(&d.to_le_bytes());
+        }
+        for &x in row.values() {
+            stored.extend_from_slice(&x.to_le_bytes());
+        }
+        let at = bytes
+            .windows(stored.len())
+            .position(|w| w == stored)
+            .expect("rows are stored verbatim");
+        let value_byte = at + 4 + 4 * row.nnz();
+        let index_byte = at + 4 + 4 * last;
+        for byte in [value_byte, index_byte] {
+            let mut junk = bytes.clone();
+            junk[byte] ^= 1;
+            assert!(
+                Snapshot::read_from(&mut junk.as_slice()).is_err(),
+                "flipped byte {byte} loaded"
+            );
+        }
+
+        // A stream of the pre-packed v3 layout is refused by name.
+        let mut v3 = bytes.clone();
+        v3[4] = 3;
+        let err = Snapshot::read_from(&mut v3.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("unsupported snapshot version 3"));
     }
 
     #[test]

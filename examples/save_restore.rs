@@ -1,9 +1,13 @@
 //! Snapshot persistence: save a live index to bytes and restore it.
 //!
-//! Warm restarts matter for an in-memory index. A snapshot stores the
-//! index's *inputs* (parameters, rows, static/delta split, tombstones);
-//! hashes and tables are rebuilt deterministically from the stored seed on
-//! load, so the restored index answers identically.
+//! Warm restarts matter for an in-memory index. A snapshot is the index's
+//! durable image packed into one checksummed stream — the same manifest
+//! and segments `persist_to` keeps on disk: parameters, merge policy,
+//! sliding window, rows, static/delta split and tombstones. Hashes and
+//! tables are rebuilt deterministically from the stored seed on load,
+//! exactly as `recover_from` rebuilds a directory, so the restored index
+//! answers identically and keeps the original's η, `seal_min_points` and
+//! window.
 //!
 //! ```text
 //! cargo run --release --example save_restore
@@ -47,7 +51,8 @@ fn main() -> plsh::Result<()> {
         stats.deleted_points
     );
 
-    // Save (here to memory; any Write works — a file, a socket, ...).
+    // Save (here to memory; any Write works — a file, a socket, ...). The
+    // static prefix lands in one segment, the delta suffix in another.
     let mut bytes = Vec::new();
     index.save_to(&mut bytes)?;
     println!(
@@ -56,7 +61,8 @@ fn main() -> plsh::Result<()> {
         bytes.len() as f64 / index.len() as f64
     );
 
-    // Restore and verify equivalence on a query sample.
+    // Restore and verify equivalence on a query sample. The static/delta
+    // split comes back as saved: the delta is one sealed generation.
     let restored = Index::restore_from(&mut bytes.as_slice())?;
     assert_eq!(restored.len(), index.len());
     assert_eq!(restored.stats().static_points, stats.static_points);

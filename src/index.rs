@@ -254,10 +254,13 @@ impl Index {
 
     /// Restores an index from a snapshot stream previously written by
     /// [`save_to`](Index::save_to), with a default-sized pool. The
-    /// restored engine answers every query identically to the saved one.
-    /// Like `Engine::load_from`, the restored index merges manually —
-    /// call [`merge`](Index::merge) after bulk loading. The vectorizer is
-    /// not part of the snapshot; re-attach one with
+    /// restored engine answers every query identically to the saved one
+    /// and, like [`recover_from`](Index::recover_from), keeps the
+    /// original's merge policy (`η`, `seal_min_points`) and sliding
+    /// window, merging in the background once the delta reaches `η·C`. A
+    /// flattened sharded snapshot restores as a single node with the
+    /// cluster's window. The vectorizer is not part of the
+    /// snapshot; re-attach one with
     /// [`with_vectorizer`](Index::with_vectorizer).
     pub fn restore_from<R: Read>(r: &mut R) -> Result<Index> {
         Self::restore_with(r, ThreadPool::default())
@@ -665,8 +668,8 @@ impl Index {
 
     // ---- Persistence ----
 
-    /// Writes a snapshot of the index (parameters, rows, static/delta
-    /// split, tombstones) to any byte sink. Safe to call while other
+    /// Writes a snapshot of the index (parameters, merge policy, window,
+    /// rows, static/delta split, tombstones) to any byte sink. Safe to call while other
     /// threads keep inserting and merging. Every backend round-trips: a
     /// sharded index flattens into the same single-engine format
     /// (restoring it yields a single-node index with identical answers).
@@ -891,6 +894,52 @@ mod tests {
             Index::restore_from(&mut bytes[..10].as_ref()),
             Err(PlshError::Io(_))
         ));
+    }
+
+    #[test]
+    fn snapshot_round_trip_keeps_the_window() {
+        let fresh: Vec<SparseVector> = (0..200)
+            .map(|i| SparseVector::unit(vec![(i % 32, 1.0), ((i + 11) % 32, 0.3)]).unwrap())
+            .collect();
+        for shards in [1, 2] {
+            let mut builder = Index::builder(params(32))
+                .threads(1)
+                .with_window(WindowSpec::Docs(50));
+            builder = if shards == 1 {
+                builder.capacity(400)
+            } else {
+                builder.capacity(200).shards(shards)
+            };
+            let index = builder.build().unwrap();
+            let vs: Vec<SparseVector> = (0..120)
+                .map(|i| SparseVector::unit(vec![(i % 32, 1.0), ((i + 5) % 32, 0.8)]).unwrap())
+                .collect();
+            for chunk in vs.chunks(10) {
+                index.add_batch(chunk).unwrap();
+                index.flush().unwrap();
+            }
+            let mut bytes = Vec::new();
+            index.save_to(&mut bytes).unwrap();
+            let restored = Index::restore_from(&mut bytes.as_slice()).unwrap();
+            assert_eq!(restored.stats().live_points, 50, "{shards} shard(s)");
+            for chunk in fresh.chunks(10) {
+                index.add_batch(chunk).unwrap();
+                index.flush().unwrap();
+                restored.add_batch(chunk).unwrap();
+                restored.flush().unwrap();
+            }
+            assert_eq!(
+                restored.stats().live_points,
+                50,
+                "{shards} shard(s): the restored index must keep retiring"
+            );
+            let original_cut = match index.sharded_backend() {
+                Some(sharded) => sharded.retired_below(),
+                None => index.epoch_info().retired_below,
+            };
+            assert_eq!(restored.epoch_info().retired_below, original_cut);
+            assert_eq!(original_cut, 270);
+        }
     }
 
     #[test]

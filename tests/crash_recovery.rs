@@ -8,21 +8,27 @@
 //! hand-made corruption: torn WAL tails at arbitrary byte offsets, a
 //! deleted generation segment, and a trashed manifest.
 //!
+//! A last property ties the two durable images together: a snapshot is a
+//! packed persist baseline, so restoring `save_to` of an index and
+//! recovering its journaled directory land on the same engine.
+//!
 //! Power cuts are injected through `plsh::core::persist::fail`, which
 //! tears the k-th low-level persistence op and freezes the directory
 //! after it. The injector is process-global, so every arming test here
-//! serializes on [`FAIL_GUARD`].
+//! serializes on [`FAIL_GUARD`], and so does every test that journals.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+
+use proptest::prelude::*;
 
 use plsh::core::engine::{Engine, EngineConfig};
 use plsh::core::persist::{self, fail};
 use plsh::core::rng::SplitMix64;
 use plsh::core::{PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
-use plsh::{SearchRequest, ShardedIndex};
+use plsh::{Index, SearchRequest, ShardedIndex, WindowSpec};
 
 /// Serializes the tests that arm the process-global fail injector.
 static FAIL_GUARD: Mutex<()> = Mutex::new(());
@@ -461,5 +467,146 @@ fn sharded_recovery_survives_sampled_power_cuts() {
         );
         drop(back);
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot ≡ recovery. Both images of one index — the `save_to` stream
+// and the journaled directory — rebuild through the same code, so they
+// must agree on every answer and every count, whatever the index's life.
+// ---------------------------------------------------------------------
+
+/// One step of a journaled index's life. `Delete` carries an offset into
+/// the ids assigned so far, `Retire` how far to push the watermark.
+#[derive(Debug, Clone)]
+enum LifeOp {
+    Insert(usize),
+    Delete(usize),
+    Merge,
+    Retire(u32),
+}
+
+fn life_op() -> impl Strategy<Value = LifeOp> {
+    prop_oneof![
+        4 => (1usize..=12).prop_map(LifeOp::Insert),
+        2 => (0usize..64).prop_map(LifeOp::Delete),
+        2 => Just(LifeOp::Merge),
+        1 => (1u32..16).prop_map(LifeOp::Retire),
+    ]
+}
+
+/// Copies a (quiescent) index directory tree.
+fn copy_dir(from: &Path, to: &Path) {
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Canonical answer form through the facade: per query, sorted
+/// `(id, distance-bits)`.
+fn index_answers(index: &Index, qs: &[SparseVector]) -> Vec<Vec<(u32, u32)>> {
+    qs.iter()
+        .map(|q| {
+            let mut hits: Vec<(u32, u32)> = index
+                .query(q)
+                .unwrap()
+                .iter()
+                .map(|h| (h.index, h.distance.to_bits()))
+                .collect();
+            hits.sort_unstable();
+            hits
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever the interleaving of inserts, deletes, merges and
+    /// retirements — with or without a window, with coalesced seals —
+    /// `restore_from(save_to(x))` and `recover_from(dir)` of the same
+    /// index answer bit-identically to it and to each other, and agree on
+    /// the epoch's visible/retired counts and the purge accounting.
+    #[test]
+    fn snapshot_restore_matches_directory_recovery(
+        seed in 0u64..1_000,
+        window in 0u32..64,
+        seal_min_points in 1usize..6,
+        ops in proptest::collection::vec(life_op(), 4..24),
+    ) {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let total_docs: usize = ops
+            .iter()
+            .map(|op| if let LifeOp::Insert(n) = op { *n } else { 0 })
+            .sum();
+        // Without merges the resident span equals the ingest total.
+        prop_assume!(total_docs < CAPACITY);
+        let vs = vectors(total_docs.max(1), seed ^ 0x51A9);
+
+        let mut builder = Index::builder(params(3))
+            .capacity(CAPACITY)
+            .threads(1)
+            .manual_merge()
+            .seal_min_points(seal_min_points);
+        // Small draws run windowless.
+        if window >= 8 {
+            builder = builder.with_window(WindowSpec::Docs(window));
+        }
+        let index = builder.build().unwrap();
+        let dir = tempdir("snapshot-vs-dir");
+        index.persist_to(&dir).unwrap();
+        let mut next = 0usize;
+        for op in &ops {
+            match *op {
+                LifeOp::Insert(n) => {
+                    index.add_batch(&vs[next..next + n]).unwrap();
+                    next += n;
+                }
+                LifeOp::Delete(off) => {
+                    if next > 0 {
+                        index.delete((off % next) as u32).unwrap();
+                    }
+                }
+                LifeOp::Merge => index.merge().unwrap(),
+                LifeOp::Retire(step) => {
+                    let engine = index.backend().unwrap().engine();
+                    engine.retire_to(engine.retired_below() + step).unwrap();
+                }
+            }
+        }
+        // Both images hold the open generation, which comes back sealed:
+        // freeze the directory before the original seals it too.
+        let mut bytes = Vec::new();
+        index.save_to(&mut bytes).unwrap();
+        let image = tempdir("snapshot-vs-dir-image");
+        copy_dir(&dir, &image);
+        index.flush().unwrap();
+        let want = index_answers(&index, &vs);
+        drop(index);
+
+        let restored = Index::restore_from(&mut bytes.as_slice()).unwrap();
+        let recovered = Index::recover_from(&image).unwrap();
+        let got = index_answers(&restored, &vs);
+        prop_assert_eq!(&got, &index_answers(&recovered, &vs));
+        prop_assert_eq!(&got, &want);
+        let (a, b) = (restored.epoch_info(), recovered.epoch_info());
+        prop_assert_eq!(
+            (a.visible_points, a.retired_below),
+            (b.visible_points, b.retired_below)
+        );
+        let (a, b) = (restored.stats(), recovered.stats());
+        prop_assert_eq!(
+            (a.purged_points, a.deleted_points),
+            (b.purged_points, b.deleted_points)
+        );
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&image);
     }
 }
