@@ -1,12 +1,10 @@
 //! The shard-per-core streaming cluster: hash-routed ingest, per-shard
 //! [`StreamingEngine`]s, and model-driven query fan-out.
 //!
-//! [`ShardedIndex`] is the successor to the broadcast
-//! [`Cluster`](crate::Cluster) coordinator for the paper's headline
-//! claim — near-linear scaling of
-//! streaming LSH across cores (Figures 9–10). Where `Cluster` serializes
-//! ingest behind external coordination, every `ShardedIndex` shard is a
-//! full streaming node that overlaps its own ingest, merge, and queries:
+//! [`ShardedIndex`] is the coordinator for the paper's headline claim —
+//! near-linear scaling of streaming LSH across nodes and cores
+//! (Figures 9–10). Every shard is a full streaming node that overlaps its
+//! own ingest, merge, and queries:
 //!
 //! * **Inserts route by a stable hash of the point id.** Every point gets
 //!   a monotonically increasing *global* id; `route(id)` picks its shard,
@@ -91,8 +89,7 @@ use plsh_core::model::{MachineProfile, PerformanceModel};
 use plsh_core::params::estimate_candidates;
 use plsh_core::persist;
 use plsh_core::search::{
-    merge_partial_responses, rank_top_k_global, SearchBackend, SearchHit, SearchRequest,
-    SearchResponse,
+    merge_partial_responses, SearchBackend, SearchHit, SearchRequest, SearchResponse,
 };
 use plsh_core::snapshot::Snapshot;
 use plsh_core::sparse::SparseVector;
@@ -1027,7 +1024,6 @@ impl ShardedIndex {
                 index: globals[shard_id][h.index as usize],
                 distance: h.distance,
             },
-            rank_top_k_global,
         )
     }
 
@@ -1113,18 +1109,12 @@ impl ShardedIndex {
             .iter()
             .map(|s| s.globals.read().unwrap_or_else(|e| e.into_inner()))
             .collect();
-        let mut resp = merge_partial_responses(
-            nq,
-            req.mode(),
-            start,
-            partials,
-            |shard_id, h| SearchHit {
+        let mut resp =
+            merge_partial_responses(nq, req.mode(), start, partials, |shard_id, h| SearchHit {
                 node: shard_id as u32,
                 index: globals[shard_id][h.index as usize],
                 distance: h.distance,
-            },
-            rank_top_k_global,
-        )?;
+            })?;
         resp.timed_out_shards = timed_out;
         Ok(resp)
     }

@@ -112,17 +112,21 @@ const WINDOW_DURATION: u8 = 2;
 
 /// Simulated power cuts for crash-recovery tests.
 ///
-/// `arm(n)` lets the next `n` low-level persistence operations (writes,
-/// fsyncs, renames, removals, file creations) through, tears the `n`-th
-/// write in half, and silently freezes everything after it — exactly what
-/// a power cut mid-operation leaves on disk. The engine keeps running
-/// in memory; recovery is then exercised against the frozen directory.
-/// Process-global: tests that arm it must serialize among themselves.
+/// `arm(dir, n)` lets the next `n` low-level persistence operations
+/// (writes, fsyncs, renames, removals, file creations) on paths under
+/// `dir` through, tears the `n`-th write in half, and silently freezes
+/// everything after it — exactly what a power cut mid-operation leaves on
+/// disk. The engine keeps running in memory; recovery is then exercised
+/// against the frozen directory. I/O on any other directory stays live,
+/// so tests that journal elsewhere run alongside an armed one. There is
+/// one arm slot per process: tests that arm it must serialize among
+/// themselves.
 #[doc(hidden)]
 pub mod fail {
-    use super::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+    use super::{AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering, Path, PathBuf};
 
     static ARMED: AtomicBool = AtomicBool::new(false);
+    static SCOPE: Mutex<Option<PathBuf>> = Mutex::new(None);
     static REMAINING: AtomicI64 = AtomicI64::new(0);
     static USED: AtomicU64 = AtomicU64::new(0);
 
@@ -137,10 +141,16 @@ pub mod fail {
         Frozen,
     }
 
-    pub(super) fn gate() -> Gate {
-        if !ARMED.load(Ordering::Relaxed) {
+    /// The fate of one operation on `path`.
+    pub(super) fn gate(path: &Path) -> Gate {
+        if !ARMED.load(Ordering::Acquire) {
             return Gate::Live;
         }
+        let scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
+        if !scope.as_deref().is_some_and(|dir| path.starts_with(dir)) {
+            return Gate::Live;
+        }
+        drop(scope);
         USED.fetch_add(1, Ordering::Relaxed);
         match REMAINING.fetch_sub(1, Ordering::Relaxed) {
             r if r > 1 => Gate::Live,
@@ -149,27 +159,34 @@ pub mod fail {
         }
     }
 
-    /// Allow `ops` persistence operations, then cut the power.
-    pub fn arm(ops: i64) {
+    /// Allow `ops` persistence operations under `dir`, then cut the power
+    /// there.
+    pub fn arm(dir: impl AsRef<Path>, ops: i64) {
+        *SCOPE.lock().unwrap_or_else(|e| e.into_inner()) = Some(dir.as_ref().to_path_buf());
         REMAINING.store(ops, Ordering::Relaxed);
         USED.store(0, Ordering::Relaxed);
-        ARMED.store(true, Ordering::Relaxed);
+        // Pairs with the Acquire in `gate`: the budget is set before any
+        // operation can see the arm.
+        ARMED.store(true, Ordering::Release);
     }
 
     /// Restore normal (unlimited, real) persistence I/O.
     pub fn disarm() {
-        ARMED.store(false, Ordering::Relaxed);
+        ARMED.store(false, Ordering::Release);
+        *SCOPE.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
-    /// Operations attempted since the last `arm` (counts frozen ones too).
+    /// Operations attempted under the armed directory since the last
+    /// `arm` (counts frozen ones too).
     pub fn ops_used() -> u64 {
         USED.load(Ordering::Relaxed)
     }
 }
 
-/// A persistence file handle; `None` when the simulated power cut struck
-/// at creation time (all subsequent I/O on it no-ops).
+/// A persistence file handle; `file` is `None` when the simulated power
+/// cut struck at creation time (all subsequent I/O on it no-ops).
 struct PFile {
+    path: PathBuf,
     file: Option<File>,
 }
 
@@ -194,28 +211,32 @@ impl PFile {
 }
 
 fn fio_create(path: &Path) -> io::Result<PFile> {
-    match fail::gate() {
-        fail::Gate::Live => Ok(PFile {
-            file: Some(File::create(path)?),
-        }),
-        _ => Ok(PFile { file: None }),
-    }
+    let file = match fail::gate(path) {
+        fail::Gate::Live => Some(File::create(path)?),
+        _ => None,
+    };
+    Ok(PFile {
+        path: path.to_path_buf(),
+        file,
+    })
 }
 
 fn fio_append(path: &Path) -> io::Result<PFile> {
-    match fail::gate() {
-        fail::Gate::Live => Ok(PFile {
-            file: Some(OpenOptions::new().append(true).create(true).open(path)?),
-        }),
-        _ => Ok(PFile { file: None }),
-    }
+    let file = match fail::gate(path) {
+        fail::Gate::Live => Some(OpenOptions::new().append(true).create(true).open(path)?),
+        _ => None,
+    };
+    Ok(PFile {
+        path: path.to_path_buf(),
+        file,
+    })
 }
 
 fn fio_write(f: &mut PFile, bytes: &[u8]) -> io::Result<()> {
     let Some(file) = f.file.as_mut() else {
         return Ok(());
     };
-    match fail::gate() {
+    match fail::gate(&f.path) {
         fail::Gate::Live => file.write_all(bytes),
         fail::Gate::Boundary => {
             // The cut lands mid-write: half the buffer reaches the disk.
@@ -234,7 +255,7 @@ fn fio_fsync(f: &mut PFile) -> io::Result<()> {
     let Some(file) = f.file.as_mut() else {
         return Ok(());
     };
-    match fail::gate() {
+    match fail::gate(&f.path) {
         fail::Gate::Live => file.sync_data(),
         _ => {
             f.file = None;
@@ -244,14 +265,14 @@ fn fio_fsync(f: &mut PFile) -> io::Result<()> {
 }
 
 fn fio_rename(from: &Path, to: &Path) -> io::Result<()> {
-    match fail::gate() {
+    match fail::gate(to) {
         fail::Gate::Live => fs::rename(from, to),
         _ => Ok(()),
     }
 }
 
 fn fio_remove(path: &Path) -> io::Result<()> {
-    match fail::gate() {
+    match fail::gate(path) {
         fail::Gate::Live => match fs::remove_file(path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             r => r,
@@ -1159,7 +1180,7 @@ impl EnginePersister {
         s.next_static_seq = 0;
         s.wal = None;
         s.tomb = None;
-        if fail::gate() == fail::Gate::Live {
+        if fail::gate(&old_data) == fail::Gate::Live {
             let _ = fs::remove_dir_all(&old_data);
         }
         Ok(())
@@ -1552,7 +1573,7 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
 
-    /// Serializes the tests that arm the process-global fail injector.
+    /// Serializes the tests that arm the fail injector (one arm slot per process).
     static FAIL_GUARD: Mutex<()> = Mutex::new(());
 
     fn params(seed: u64) -> PlshParams {
@@ -1707,7 +1728,7 @@ mod tests {
         let engine = Engine::new(EngineConfig::new(params(7), 200).manual_merge(), &pool).unwrap();
         engine.persist_to(&tmp).unwrap();
         engine.insert_batch(&vs[..20], &pool).unwrap();
-        fail::arm(0); // power already cut: nothing below reaches the disk
+        fail::arm(&tmp, 0); // power already cut: nothing below reaches the disk
         engine.insert_batch(&vs[20..], &pool).unwrap();
         engine.delete(1);
         engine.merge_delta(&pool);
@@ -1716,6 +1737,42 @@ mod tests {
         assert_eq!(back.len(), 20, "frozen ops must not be recoverable");
         assert!(!back.is_deleted(1));
         std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn fail_injection_is_scoped_to_its_directory() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let armed = tempdir("persist-scope-armed");
+        let other = tempdir("persist-scope-other");
+        fail::arm(&armed, 0);
+        // A journaling engine on another thread, in another directory,
+        // never sees the cut.
+        let worker = {
+            let other = other.clone();
+            std::thread::spawn(move || {
+                let pool = ThreadPool::new(1);
+                let vs = vectors(50, 61);
+                let engine =
+                    Engine::new(EngineConfig::new(params(9), 100).manual_merge(), &pool).unwrap();
+                engine.persist_to(&other).unwrap();
+                engine.insert_batch(&vs[..25], &pool).unwrap();
+                engine.merge_delta(&pool);
+                engine.insert_batch(&vs[25..], &pool).unwrap();
+                let back = Engine::recover_from(&other, &pool).unwrap();
+                assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+                vs
+            })
+        };
+        let vs = worker.join().unwrap();
+        let used = fail::ops_used();
+        fail::disarm();
+        assert_eq!(
+            load_state(&other).unwrap().all_rows(),
+            vs,
+            "every row recovers"
+        );
+        assert_eq!(used, 0, "I/O outside the armed directory is not gated");
+        std::fs::remove_dir_all(&other).unwrap();
     }
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -10,7 +10,7 @@
 //! observability the request asked for. Every backend
 //! ([`Engine`](crate::engine::Engine),
 //! [`StreamingEngine`](crate::streaming::StreamingEngine), and the
-//! multi-node `Cluster` in `plsh-cluster`) implements [`SearchBackend`]
+//! multi-node `ShardedIndex` in `plsh-cluster`) implements [`SearchBackend`]
 //! and answers the *exact same* request type, so a new scenario is a new
 //! request field — not a new method on three front-ends.
 //!
@@ -239,13 +239,14 @@ impl SearchRequest {
 }
 
 /// A reported neighbor, qualified by the node that holds it. Single-node
-/// backends always report `node == 0`; the cluster coordinator fills in
-/// the owning node so `(node, index)` is a stable global identity.
+/// backends always report `node == 0`; the sharded coordinator translates
+/// `index` to the point's global id and records the owning shard in
+/// `node`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct SearchHit {
     /// Node that holds the point (0 on single-node backends).
     pub node: u32,
-    /// Node-local point id.
+    /// Point id (global on multi-node backends).
     pub index: u32,
     /// Angular distance to the query.
     pub distance: f32,
@@ -258,14 +259,6 @@ impl From<Neighbor> for SearchHit {
             index: n.index,
             distance: n.distance,
         }
-    }
-}
-
-impl SearchHit {
-    /// The same hit attributed to `node` (used by cluster coordinators).
-    pub fn on_node(mut self, node: u32) -> Self {
-        self.node = node;
-        self
     }
 }
 
@@ -331,53 +324,34 @@ pub trait SearchBackend {
     fn search(&self, req: &SearchRequest, pool: &ThreadPool) -> Result<SearchResponse>;
 }
 
-/// Orders `hits` ascending by `(distance, index)` and keeps the closest
-/// `k` — the k-NN post-pass shared by every backend, so single-node and
-/// merged multi-node rankings tie-break identically.
+/// Orders `hits` ascending by `(distance, index, node)` and keeps the
+/// closest `k` — the k-NN post-pass shared by every backend. On a single
+/// engine `node` is always 0; a sharded coordinator ranks hits that carry
+/// globally unique ids, so the node never decides a tie and its ranking
+/// is bit-identical to one big engine's.
 pub fn rank_top_k(hits: &mut Vec<SearchHit>, k: usize) {
     hits.sort_by(|a, b| {
         a.distance
             .total_cmp(&b.distance)
-            .then(a.node.cmp(&b.node))
-            .then(a.index.cmp(&b.index))
-    });
-    hits.truncate(k);
-}
-
-/// The k-way top-`k` merge for coordinators whose hits carry *global* ids:
-/// orders ascending by `(distance, index)` — ignoring the node attribution,
-/// which is bookkeeping rather than identity once ids are global — and
-/// keeps the closest `k`. With globally unique ids this tie-breaks exactly
-/// like [`rank_top_k`] does on a single node (where `node` is always 0), so
-/// a sharded backend's k-NN ranking is bit-identical to one big engine's.
-pub fn rank_top_k_global(hits: &mut Vec<SearchHit>, k: usize) {
-    hits.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
             .then(a.index.cmp(&b.index))
             .then(a.node.cmp(&b.node))
     });
     hits.truncate(k);
 }
 
-/// The coordinator-side merge shared by every multi-node backend
-/// (`Cluster`'s broadcast and `ShardedIndex`'s fan-out): concatenates the
-/// per-node partial responses per query (running each hit through
-/// `translate(node, hit)` — node attribution for a broadcast, global-id
-/// translation for a sharded backend), aggregates the optional
-/// [`BatchStats`] counters and [`QueryPhaseTimings`], applies `rank` per
-/// query in k-NN mode, and stamps the aggregated wall time from `start`.
-///
-/// Centralizing this is what keeps the backends' answers from drifting:
-/// a new response field aggregates here once, for every coordinator.
-/// [`SearchResponse::epoch`] is always `None` (each node pins its own).
+/// The coordinator-side merge of `ShardedIndex`'s fan-out: concatenates
+/// the per-node partial responses per query (running each hit through
+/// `translate(node, hit)`, the global-id translation), aggregates the
+/// optional [`BatchStats`] counters and [`QueryPhaseTimings`], applies
+/// [`rank_top_k`] per query in k-NN mode, and stamps the aggregated wall
+/// time from `start`. [`SearchResponse::epoch`] is always `None` (each
+/// node pins its own).
 pub fn merge_partial_responses(
     num_queries: usize,
     mode: SearchMode,
     start: std::time::Instant,
     partials: Vec<Result<SearchResponse>>,
     mut translate: impl FnMut(usize, SearchHit) -> SearchHit,
-    rank: fn(&mut Vec<SearchHit>, usize),
 ) -> Result<SearchResponse> {
     let mut results: Vec<Vec<SearchHit>> = vec![Vec::new(); num_queries];
     let mut stats: Option<BatchStats> = None;
@@ -402,7 +376,7 @@ pub fn merge_partial_responses(
     }
     if let SearchMode::Knn(k) = mode {
         for hits in &mut results {
-            rank(hits, k);
+            rank_top_k(hits, k);
         }
     }
     if let Some(agg) = stats.as_mut() {
@@ -469,40 +443,8 @@ mod tests {
 
     #[test]
     fn rank_top_k_orders_and_truncates() {
-        let mut hits = vec![
-            SearchHit {
-                node: 1,
-                index: 4,
-                distance: 0.5,
-            },
-            SearchHit {
-                node: 0,
-                index: 9,
-                distance: 0.1,
-            },
-            SearchHit {
-                node: 0,
-                index: 2,
-                distance: 0.5,
-            },
-            SearchHit {
-                node: 0,
-                index: 7,
-                distance: 0.3,
-            },
-        ];
-        rank_top_k(&mut hits, 3);
-        assert_eq!(
-            hits.iter().map(|h| (h.node, h.index)).collect::<Vec<_>>(),
-            vec![(0, 9), (0, 7), (0, 2)],
-            "ascending by distance, ties by (node, index)"
-        );
-    }
-
-    #[test]
-    fn rank_top_k_global_ignores_node_attribution() {
-        // Same distances as a single-node ranking, but scattered over
-        // shards: the global merge must order by (distance, index) alone.
+        // Global ids scattered over shards: ties resolve by index first,
+        // so the node attribution never reorders a single engine's answer.
         let mut hits = vec![
             SearchHit {
                 node: 3,
@@ -524,12 +466,17 @@ mod tests {
                 index: 7,
                 distance: 0.3,
             },
+            SearchHit {
+                node: 1,
+                index: 2,
+                distance: 0.5,
+            },
         ];
-        rank_top_k_global(&mut hits, 3);
+        rank_top_k(&mut hits, 4);
         assert_eq!(
-            hits.iter().map(|h| h.index).collect::<Vec<_>>(),
-            vec![9, 7, 2],
-            "tie at 0.5 resolves by global index, not by shard"
+            hits.iter().map(|h| (h.node, h.index)).collect::<Vec<_>>(),
+            vec![(0, 9), (1, 7), (1, 2), (2, 2)],
+            "ascending by distance, ties by (index, node)"
         );
     }
 

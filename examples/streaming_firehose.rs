@@ -8,26 +8,28 @@
 //! shows a half-merged state — and merge publication is a single pointer
 //! swap.
 //!
-//! Part 2 — the cluster path: the same firehose drives a multi-node
-//! coordinator with rolling insert windows; full windows roll forward and
-//! the oldest is retired in place once the cluster wraps. The coordinator
-//! answers the *same* `SearchRequest` type as the single node.
+//! Part 2 — the cluster path: the same firehose drives a hash-routed
+//! [`ShardedIndex`] with a sliding window of the newest `WINDOW` tweets;
+//! every insert past the window retires the oldest tweets exactly, as one
+//! consistent cut across all shards. The coordinator answers the *same*
+//! `SearchRequest` type as the single node.
 //!
 //! ```text
 //! cargo run --release --example streaming_firehose
 //! ```
 
 use plsh::cluster::firehose::Firehose;
-use plsh::cluster::{Cluster, ClusterConfig};
 use plsh::core::EngineConfig;
-use plsh::parallel::ThreadPool;
 use plsh::workload::{CorpusConfig, QuerySet, SyntheticCorpus};
-use plsh::{Index, PlshParams, SearchRequest};
+use plsh::{Index, PlshParams, SearchRequest, ShardedIndex, WindowSpec};
 
 fn main() -> plsh::Result<()> {
-    const NODES: usize = 8;
-    const WINDOW: usize = 2; // the paper's M
-    const NODE_CAPACITY: usize = 2_500;
+    const NODES: usize = 4;
+    const NODE_CAPACITY: usize = 5_000;
+    // A quarter of the cluster capacity: the rest is headroom for the
+    // un-merged deltas and for retired rows awaiting their shard's next
+    // compacting merge.
+    const WINDOW: usize = NODES * NODE_CAPACITY / 4;
 
     // 1.5x the cluster capacity, so retirement must kick in.
     let corpus = SyntheticCorpus::generate(CorpusConfig {
@@ -114,65 +116,74 @@ fn main() -> plsh::Result<()> {
         "newest tweet must be findable"
     );
 
-    // ---- Part 2: the cluster with rolling insert windows. ----
-    println!("\n== cluster: rolling windows + retirement ==");
-    let pool = ThreadPool::default();
-    let cluster = Cluster::new(
-        ClusterConfig::new(
-            EngineConfig::new(params, NODE_CAPACITY).with_eta(0.1),
-            NODES,
-            WINDOW,
-        ),
-        &pool,
+    // ---- Part 2: the cluster with a sliding window. ----
+    println!("\n== cluster: sliding window + retirement ==");
+    let cluster = ShardedIndex::builder(
+        EngineConfig::new(params, NODE_CAPACITY)
+            .with_eta(0.1)
+            .with_window(WindowSpec::Docs(WINDOW as u32)),
     )
+    .shards(NODES)
+    .build()
     .map_err(plsh::Error::from)?;
 
-    let hose = Firehose::start(corpus.vectors().to_vec(), 1_000, 4);
+    // Paced like Part 1, so each shard's background merges keep
+    // reclaiming retired rows as fast as the stream retires them.
+    let rate = corpus.len() as f64 / 3.0;
+    let hose = Firehose::start_paced(corpus.vectors().to_vec(), 1_000, 4, rate);
     let start = std::time::Instant::now();
     let mut ingested = 0usize;
     while let Some(batch) = hose.next_batch() {
         ingested += batch.docs.len();
         cluster
-            .insert_batch(&batch.docs, &pool)
+            .insert_batch(&batch.docs)
             .map_err(plsh::Error::from)?;
         // Interleave a query burst every few batches, as a live system
         // would see. The coordinator answers the exact same request type
         // as the single node.
         if batch.seq % 5 == 4 {
-            let resp = cluster.search(&query_req, &pool)?;
-            let stats = cluster.stats();
+            let resp = cluster.search(&query_req)?;
             println!(
-                "t={:>6.2?}  ingested {:>6}  stored {:>6}/{} ({} nodes occupied, window {}, {} retirements)  query batch {:>6.1?}  {} matches",
+                "t={:>6.2?}  ingested {:>6}  live {:>6}  retired below #{:<6}  query batch {:>6.1?}  {} matches",
                 start.elapsed(),
                 ingested,
-                stats.total_points,
-                stats.total_capacity,
-                stats.occupied_nodes,
-                stats.active_window,
-                stats.retirements,
+                cluster.health().live_points,
+                cluster.retired_below(),
                 resp.stats.expect("stats requested").elapsed,
                 resp.total_hits(),
             );
         }
     }
+    cluster.flush().map_err(plsh::Error::from)?;
 
-    let stats = cluster.stats();
+    let live = cluster.health().live_points;
     println!("\nfinal state after {} tweets:", ingested);
     println!(
-        "  stored {} of {} capacity across {} nodes; {} wholesale retirements",
-        stats.total_points, stats.total_capacity, NODES, stats.retirements
+        "  {} live of {} capacity across {} shards; everything below #{} retired",
+        live,
+        NODES * NODE_CAPACITY,
+        NODES,
+        cluster.retired_below()
     );
+    assert_eq!(
+        live, WINDOW,
+        "exactly the window's worth of tweets stays live"
+    );
+    // The newest tweet must be findable; the oldest must be gone. Global
+    // ids follow arrival order, so tweet `i` of the corpus is id `i`.
+    let newest = (corpus.len() - 1) as u32;
+    let found = cluster.search(&SearchRequest::query(corpus.vector(newest).clone()))?;
+    let hit = found
+        .hits()
+        .iter()
+        .find(|h| h.index == newest)
+        .expect("newest tweet must be indexed");
+    println!("  newest tweet #{newest} found on shard {}", hit.node);
+    let oldest = cluster.search(&SearchRequest::query(corpus.vector(0).clone()))?;
     assert!(
-        stats.retirements >= 1,
-        "streaming 1.5x capacity must have retired at least one window"
+        oldest.hits().iter().all(|h| h.index != 0) && cluster.vector(0).is_none(),
+        "oldest tweet must be retired"
     );
-    // The newest tweets must be findable; the oldest should be gone.
-    let last = corpus.len() - 1;
-    let newest = cluster.search(
-        &SearchRequest::query(corpus.vector(last as u32).clone()),
-        &pool,
-    )?;
-    assert!(!newest.hits().is_empty(), "newest tweet must be indexed");
-    println!("  newest tweet found on node {}", newest.hits()[0].node);
+    println!("  oldest tweet #0 retired");
     Ok(())
 }

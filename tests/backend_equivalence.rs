@@ -1,6 +1,6 @@
 //! Backend equivalence: the whole point of the unified search API is that
-//! [`Engine`], [`StreamingEngine`] (mid-ingest, merge in flight), a 1-node
-//! [`Cluster`], and a [`ShardedIndex`] at several shard counts answer the
+//! [`Engine`], [`StreamingEngine`] (mid-ingest, merge in flight), and a
+//! [`ShardedIndex`] at several shard counts answer the
 //! *exact same* [`SearchRequest`] with the *exact same* answer set — same
 //! ids, same distances, bit for bit — regardless of how their data is
 //! segmented across static tables, sealed delta generations, shards, or
@@ -13,7 +13,6 @@
 //! candidates examined within the global budget — since each shard
 //! truncates its own ascending-id candidate prefix.
 
-use plsh::cluster::{Cluster, ClusterConfig};
 use plsh::core::engine::{Engine, EngineConfig};
 use plsh::core::streaming::StreamingEngine;
 use plsh::parallel::ThreadPool;
@@ -131,17 +130,6 @@ fn all_backends_answer_identically() {
     }
     streaming.merge_in_background();
 
-    // Cluster: one node, all data still in delta generations.
-    let cluster = {
-        let c = Cluster::new(
-            ClusterConfig::new(EngineConfig::new(params.clone(), N).manual_merge(), 1, 1),
-            &pool,
-        )
-        .unwrap();
-        c.insert_batch(corpus.vectors(), &pool).unwrap();
-        c
-    };
-
     // ShardedIndexes at several shard counts, *mid-ingest*: everything
     // routed and visible, then background merges kicked off on every
     // shard and *not* awaited — requests run while merges are anywhere
@@ -222,12 +210,10 @@ fn all_backends_answer_identically() {
         for (ri, (req, budgeted)) in requests.iter().enumerate() {
             let a = answers(&engine, req, &pool);
             let b = answers(&streaming, req, &pool);
-            let c = answers(&cluster, req, &pool);
             assert_eq!(
                 a, b,
                 "{label}: Engine vs StreamingEngine diverged on request {ri}"
             );
-            assert_eq!(a, c, "{label}: Engine vs Cluster diverged on request {ri}");
             if *budgeted {
                 // The budget is divided across shards (floored at one per
                 // shard), so a sharded backend's *selection* differs from
@@ -279,7 +265,6 @@ fn all_backends_answer_identically() {
     streaming.wait_for_merge();
     streaming.merge_now();
     engine.merge_delta(&pool);
-    cluster.merge_all(&pool);
     for s in &sharded {
         s.quiesce().unwrap();
         assert_eq!(s.shard(0).engine().delta_len(), 0);
@@ -300,12 +285,6 @@ fn malformed_requests_error_on_every_backend() {
     let engine = Engine::new(EngineConfig::new(params.clone(), N), &pool).unwrap();
     let streaming =
         StreamingEngine::new(EngineConfig::new(params.clone(), N), ThreadPool::new(1)).unwrap();
-    let cluster = Cluster::new(
-        ClusterConfig::new(EngineConfig::new(params.clone(), N), 1, 1),
-        &pool,
-    )
-    .unwrap();
-
     let sharded = ShardedIndex::builder(EngineConfig::new(params, N))
         .shards(2)
         .build()
@@ -315,6 +294,5 @@ fn malformed_requests_error_on_every_backend() {
     let req = SearchRequest::query(oob);
     assert!(SearchBackend::search(&engine, &req, &pool).is_err());
     assert!(SearchBackend::search(&streaming, &req, &pool).is_err());
-    assert!(SearchBackend::search(&cluster, &req, &pool).is_err());
     assert!(SearchBackend::search(&sharded, &req, &pool).is_err());
 }

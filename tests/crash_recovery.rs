@@ -13,9 +13,10 @@
 //! recovering its journaled directory land on the same engine.
 //!
 //! Power cuts are injected through `plsh::core::persist::fail`, which
-//! tears the k-th low-level persistence op and freezes the directory
-//! after it. The injector is process-global, so every arming test here
-//! serializes on [`FAIL_GUARD`], and so does every test that journals.
+//! tears the k-th low-level persistence op under the armed directory and
+//! freezes that directory after it. I/O elsewhere stays live, so tests
+//! that only journal run freely; the process has one arm slot, so every
+//! arming test here serializes on [`FAIL_GUARD`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,7 +31,7 @@ use plsh::core::{PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
 use plsh::{Index, SearchRequest, ShardedIndex, WindowSpec};
 
-/// Serializes the tests that arm the process-global fail injector.
+/// Serializes the tests that arm the fail injector (one arm slot per process).
 static FAIL_GUARD: Mutex<()> = Mutex::new(());
 
 const DIM: u32 = 32;
@@ -148,7 +149,7 @@ fn recovery_survives_a_power_cut_after_every_operation() {
     // Dry run with an unlimited budget counts the script's op total.
     let dir = tempdir("crash-count");
     let engine = setup_engine(&dir, &pool);
-    fail::arm(i64::MAX);
+    fail::arm(&dir, i64::MAX);
     run_script(&engine, &vs, &pool);
     drop(engine);
     fail::disarm();
@@ -162,7 +163,7 @@ fn recovery_survives_a_power_cut_after_every_operation() {
     for k in 0..=total {
         let dir = tempdir("crash-k");
         let engine = setup_engine(&dir, &pool);
-        fail::arm(k as i64);
+        fail::arm(&dir, k as i64);
         run_script(&engine, &vs, &pool);
         drop(engine);
         fail::disarm();
@@ -417,7 +418,7 @@ fn sharded_recovery_survives_sampled_power_cuts() {
 
     let dir = tempdir("crash-shard-count");
     let index = setup_sharded(&dir);
-    fail::arm(i64::MAX);
+    fail::arm(&dir, i64::MAX);
     run_sharded_script(&index, &vs);
     drop(index);
     fail::disarm();
@@ -429,7 +430,7 @@ fn sharded_recovery_survives_sampled_power_cuts() {
     for k in (0..=total).step_by(step as usize) {
         let dir = tempdir("crash-shard-k");
         let index = setup_sharded(&dir);
-        fail::arm(k as i64);
+        fail::arm(&dir, k as i64);
         run_sharded_script(&index, &vs);
         drop(index);
         fail::disarm();
@@ -540,7 +541,6 @@ proptest! {
         seal_min_points in 1usize..6,
         ops in proptest::collection::vec(life_op(), 4..24),
     ) {
-        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let total_docs: usize = ops
             .iter()
             .map(|op| if let LifeOp::Insert(n) = op { *n } else { 0 })

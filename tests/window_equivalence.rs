@@ -16,8 +16,9 @@
 //!    exact contiguous slice of the ingested order, and answers
 //!    bit-identical to a from-scratch build over that slice.
 //!
-//! Power cuts are injected through `plsh::core::persist::fail`, which is
-//! process-global; the arming test serializes on [`FAIL_GUARD`].
+//! Power cuts are injected through `plsh::core::persist::fail`, scoped to
+//! the armed directory; the process has one arm slot, so the arming test
+//! serializes on [`FAIL_GUARD`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -31,7 +32,7 @@ use plsh::core::rng::SplitMix64;
 use plsh::core::{PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
 
-/// Serializes tests that arm the process-global fail injector.
+/// Serializes tests that arm the fail injector (one arm slot per process).
 static FAIL_GUARD: Mutex<()> = Mutex::new(());
 
 const DIM: u32 = 32;
@@ -275,7 +276,7 @@ fn windowed_recovery_survives_a_power_cut_after_every_operation() {
     // Dry run with an unlimited budget counts the script's op total.
     let dir = tempdir("window-crash-count");
     let engine = setup_windowed(&dir, &pool);
-    fail::arm(i64::MAX);
+    fail::arm(&dir, i64::MAX);
     run_windowed_script(&engine, &vs, &pool);
     drop(engine);
     fail::disarm();
@@ -289,7 +290,7 @@ fn windowed_recovery_survives_a_power_cut_after_every_operation() {
     for k in 0..=total_ops {
         let dir = tempdir("window-crash-k");
         let engine = setup_windowed(&dir, &pool);
-        fail::arm(k as i64);
+        fail::arm(&dir, k as i64);
         run_windowed_script(&engine, &vs, &pool);
         drop(engine);
         fail::disarm();
