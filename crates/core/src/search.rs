@@ -481,6 +481,40 @@ mod tests {
     }
 
     #[test]
+    fn rank_top_k_global_ignores_node_attribution() {
+        // The lower global id sits on the higher shard: a tie must still
+        // resolve by index, never by the node that happens to hold it.
+        let mut hits = vec![
+            SearchHit {
+                node: 0,
+                index: 4,
+                distance: 0.5,
+            },
+            SearchHit {
+                node: 2,
+                index: 9,
+                distance: 0.1,
+            },
+            SearchHit {
+                node: 3,
+                index: 2,
+                distance: 0.5,
+            },
+            SearchHit {
+                node: 1,
+                index: 7,
+                distance: 0.3,
+            },
+        ];
+        rank_top_k(&mut hits, 3);
+        assert_eq!(
+            hits.iter().map(|h| h.index).collect::<Vec<_>>(),
+            vec![9, 7, 2],
+            "tie at 0.5 resolves by global index, not by shard"
+        );
+    }
+
+    #[test]
     fn response_accessors_handle_empty() {
         let resp = SearchResponse {
             results: Vec::new(),
